@@ -17,9 +17,11 @@
 //	                     local/remote race execution (LocalExecutor wraps
 //	                     the in-process goroutine pool; remote.Executor
 //	                     fans races out to worker daemons), a per-depth
-//	                     progress event stream, and all seven depth loops
-//	                     (BMC scratch/incremental/portfolio/warm;
-//	                     k-induction sequential/portfolio/warm)
+//	                     progress event stream, and one depth driver for
+//	                     every engine shape (per-depth queries solved by a
+//	                     scratch solver, a live solver, a cold race or a
+//	                     warm pool; k-induction pairs a base and a step
+//	                     query)
 //	internal/obs         zero-dependency observability layer: lock-cheap
 //	                     metrics registry (atomic counters/gauges/
 //	                     histograms, nil-safe no-op handles when off) with
@@ -39,9 +41,6 @@
 //	                     StepDelta (incremental induction-step encoding
 //	                     with monotone simple-path constraints), and the
 //	                     scratch step instance StepFormula
-//	internal/bmc         deprecated thin wrappers over engine for the four
-//	                     legacy BMC entrypoints (Run, RunIncremental,
-//	                     RunPortfolio, RunPortfolioIncremental)
 //	internal/portfolio   strategy-racing engine: cancellable solver race
 //	                     (cold Race, live-solver RaceLive), worker pool,
 //	                     win/loss and clause-bus telemetry
@@ -57,14 +56,13 @@
 //	                     heartbeats, reconnect + frame replay, clause-bus
 //	                     forwarding under per-link diets, local re-race
 //	                     fallback when a worker dies mid-depth)
-//	internal/induction   deprecated thin wrappers over engine for the three
-//	                     legacy k-induction entrypoints (Prove,
-//	                     ProvePortfolio, ProvePortfolioIncremental)
 //	internal/experiments paper tables/figures plus ablations (portfolio vs
 //	                     best single order, incremental vs scratch, cold vs
 //	                     warm vs warm+sharing), driven through engine
 //	                     sessions
 //	internal/bench       the 37-model synthetic evaluation suite
+//	internal/bmc,        test-only: the BMC and k-induction behaviour
+//	internal/induction   suites, run through engine.New
 //	cmd/bmc              CLI front end (-engine=bmc|kind, -order=vsids|
 //	                     static|dynamic|timeaxis|portfolio, -incremental,
 //	                     -share, -json; the flag matrix is validated by

@@ -292,8 +292,10 @@ func build(p *parsed, name string) (*circuit.Circuit, error) {
 		return sigOf[v], nil
 	}
 
-	for v := range andIdx {
-		if _, err := resolve(2 * v); err != nil {
+	// Resolve the gates in file order: the circuit's node numbering, and
+	// with it every unrolling and search, must not depend on map order.
+	for _, lhs := range p.andLHS {
+		if _, err := resolve(lhs); err != nil {
 			return nil, err
 		}
 	}

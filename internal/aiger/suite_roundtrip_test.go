@@ -1,14 +1,28 @@
 package aiger
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/bmc"
-	"repro/internal/core"
-	"repro/internal/sat"
+	"repro/internal/circuit"
+	"repro/internal/engine"
 )
+
+// check runs the default BMC session (dynamic ordering) to the depth.
+func check(t *testing.T, c *circuit.Circuit, depth int) *engine.Result {
+	t.Helper()
+	sess, err := engine.New(c, 0, engine.WithBudgets(depth, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Check(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestSuiteRoundTripStructure writes every benchmark model to AIGER text
 // and reads it back, checking the structural counts survive — this is the
@@ -59,17 +73,46 @@ func TestSuiteRoundTripVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		orig, err := bmc.Run(m.Build(), 0, bmc.Options{MaxDepth: depth, Strategy: core.OrderDynamic, Solver: sat.Defaults()})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		rt, err := bmc.Run(back, 0, bmc.Options{MaxDepth: depth, Strategy: core.OrderDynamic, Solver: sat.Defaults()})
-		if err != nil {
-			t.Fatalf("%s (round-tripped): %v", name, err)
-		}
-		if orig.Verdict != rt.Verdict || orig.Depth != rt.Depth {
+		orig := check(t, m.Build(), depth)
+		rt := check(t, back, depth)
+		if orig.Verdict != rt.Verdict || orig.K != rt.K {
 			t.Errorf("%s: verdict changed on round trip: %v@%d -> %v@%d",
-				name, orig.Verdict, orig.Depth, rt.Verdict, rt.Depth)
+				name, orig.Verdict, orig.K, rt.Verdict, rt.K)
+		}
+	}
+}
+
+// TestParseDeterministic: parsing one file twice must number the circuit
+// the same way, so the written text and the search (every conflict) are
+// identical from run to run.
+func TestParseDeterministic(t *testing.T) {
+	for _, name := range []string{"mix_w5", "add_w4", "pipe_s5_bug"} {
+		m, ok := bench.ByName(name)
+		if !ok {
+			t.Fatalf("%s missing", name)
+		}
+		text, err := WriteString(m.Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var written [2]string
+		var res [2]*engine.Result
+		for i := range written {
+			c, err := ReadString(text)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if written[i], err = WriteString(c); err != nil {
+				t.Fatal(err)
+			}
+			res[i] = check(t, c, 3)
+		}
+		if written[0] != written[1] {
+			t.Errorf("%s: two parses of one file write different text", name)
+		}
+		if res[0].Total.Conflicts != res[1].Total.Conflicts || res[0].Total.Decisions != res[1].Total.Decisions {
+			t.Errorf("%s: two parses of one file search differently: %d/%d vs %d/%d conflicts/decisions", name,
+				res[0].Total.Conflicts, res[0].Total.Decisions, res[1].Total.Conflicts, res[1].Total.Decisions)
 		}
 	}
 }

@@ -1,14 +1,48 @@
-package bmc
+// Package bmc_test is the BMC behaviour suite: the paper's loop
+// (refine_order_bmc, Fig. 5) under every ordering, budget and engine
+// shape, checked through engine.New and Session.Check. The directory
+// holds tests only; the BMC engine itself lives in internal/engine.
+package bmc_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/sat"
+	"repro/internal/engine"
 )
+
+// runCtx checks property 0 of c under ctx and fails the test on a
+// structural error.
+func runCtx(t *testing.T, ctx context.Context, c *circuit.Circuit, opts ...engine.Option) *engine.Result {
+	t.Helper()
+	sess, err := engine.New(c, 0, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Check(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// run is runCtx without a deadline.
+func run(t *testing.T, c *circuit.Circuit, opts ...engine.Option) *engine.Result {
+	t.Helper()
+	return runCtx(t, context.Background(), c, opts...)
+}
+
+// expired is a context whose deadline has already passed.
+func expired(t *testing.T) context.Context {
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	t.Cleanup(cancel)
+	return ctx
+}
 
 // failingCounter: width-bit counter, bad when count == target (reachable:
 // counter-example of exactly length target).
@@ -35,18 +69,14 @@ func passingCounter(width int, m, unreachable uint64) *circuit.Circuit {
 }
 
 func allStrategies() []core.Strategy {
-	return []core.Strategy{core.OrderVSIDS, core.OrderStatic, core.OrderDynamic, TimeAxis}
+	return []core.Strategy{core.OrderVSIDS, core.OrderStatic, core.OrderDynamic, core.OrderTimeAxis}
 }
 
 func TestFailingCounterAllStrategies(t *testing.T) {
 	for _, st := range allStrategies() {
-		c := failingCounter(4, 9)
-		res, err := Run(c, 0, Options{MaxDepth: 15, Strategy: st, Solver: sat.Defaults()})
-		if err != nil {
-			t.Fatalf("%v: %v", st, err)
-		}
-		if res.Verdict != Falsified || res.Depth != 9 {
-			t.Errorf("%v: verdict=%v depth=%d, want falsified at 9", st, res.Verdict, res.Depth)
+		res := run(t, failingCounter(4, 9), engine.WithBudgets(15, 0), engine.WithOrdering(st))
+		if res.Verdict != engine.Falsified || res.K != 9 {
+			t.Errorf("%v: verdict=%v depth=%d, want falsified at 9", st, res.Verdict, res.K)
 		}
 		if res.Trace == nil || res.Trace.Depth != 9 {
 			t.Errorf("%v: missing or wrong trace", st)
@@ -59,16 +89,12 @@ func TestFailingCounterAllStrategies(t *testing.T) {
 
 func TestPassingCounterAllStrategies(t *testing.T) {
 	for _, st := range allStrategies() {
-		c := passingCounter(3, 5, 7)
-		res, err := Run(c, 0, Options{MaxDepth: 12, Strategy: st, Solver: sat.Defaults()})
-		if err != nil {
-			t.Fatalf("%v: %v", st, err)
-		}
-		if res.Verdict != Holds {
+		res := run(t, passingCounter(3, 5, 7), engine.WithBudgets(12, 0), engine.WithOrdering(st))
+		if res.Verdict != engine.Holds {
 			t.Errorf("%v: verdict=%v, want holds", st, res.Verdict)
 		}
-		if res.Depth != 12 {
-			t.Errorf("%v: deepest checked depth=%d, want 12", st, res.Depth)
+		if res.K != 12 {
+			t.Errorf("%v: deepest checked depth=%d, want 12", st, res.K)
 		}
 		// Unsat instances must produce unsat cores under refined modes.
 		if st == core.OrderStatic || st == core.OrderDynamic {
@@ -83,19 +109,13 @@ func TestPassingCounterAllStrategies(t *testing.T) {
 
 func TestCoreStatsOnlyWithRecording(t *testing.T) {
 	c := passingCounter(3, 5, 7)
-	res, err := Run(c, 0, Options{MaxDepth: 4, Strategy: core.OrderVSIDS, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, c, engine.WithBudgets(4, 0), engine.WithOrdering(core.OrderVSIDS))
 	for _, d := range res.PerDepth {
 		if d.CoreClauses != 0 {
 			t.Errorf("baseline without ForceRecording must not extract cores")
 		}
 	}
-	res, err = Run(c, 0, Options{MaxDepth: 4, Strategy: core.OrderVSIDS, ForceRecording: true, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = run(t, c, engine.WithBudgets(4, 0), engine.WithOrdering(core.OrderVSIDS), engine.WithForceRecording())
 	for _, d := range res.PerDepth {
 		if d.CoreClauses == 0 {
 			t.Errorf("ForceRecording must extract cores at depth %d", d.K)
@@ -105,34 +125,16 @@ func TestCoreStatsOnlyWithRecording(t *testing.T) {
 
 func TestPerInstanceConflictBudget(t *testing.T) {
 	// A hard instance family with a tiny conflict budget must exhaust.
-	c := hardDistractor(12)
-	res, err := Run(c, 0, Options{
-		MaxDepth:             20,
-		Strategy:             core.OrderVSIDS,
-		Solver:               sat.Defaults(),
-		PerInstanceConflicts: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != BudgetExhausted {
-		t.Errorf("verdict=%v, want budget-exhausted", res.Verdict)
+	res := run(t, hardDistractor(12), engine.WithBudgets(20, 1), engine.WithOrdering(core.OrderVSIDS))
+	if res.Verdict != engine.Unknown {
+		t.Errorf("verdict=%v, want unknown (budget exhausted)", res.Verdict)
 	}
 }
 
 func TestDeadlineInPast(t *testing.T) {
-	c := failingCounter(3, 5)
-	res, err := Run(c, 0, Options{
-		MaxDepth: 10,
-		Strategy: core.OrderVSIDS,
-		Solver:   sat.Defaults(),
-		Deadline: time.Now().Add(-time.Second),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != BudgetExhausted || res.Depth != 0 {
-		t.Errorf("verdict=%v depth=%d, want budget-exhausted at 0", res.Verdict, res.Depth)
+	res := runCtx(t, expired(t), failingCounter(3, 5), engine.WithBudgets(10, 0), engine.WithOrdering(core.OrderVSIDS))
+	if res.Verdict != engine.Unknown || res.K != 0 {
+		t.Errorf("verdict=%v depth=%d, want unknown at 0", res.Verdict, res.K)
 	}
 }
 
@@ -153,85 +155,47 @@ func hardDistractor(width int) *circuit.Circuit {
 
 // TestStrategiesAgreeOnRandomModels is the central metamorphic property:
 // the decision ordering must never change the verdict or the
-// counter-example depth, only the search effort.
+// counter-example depth, only the search effort — on scratch solvers and
+// on the live incremental solver alike.
 func TestStrategiesAgreeOnRandomModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for iter := 0; iter < 12; iter++ {
-		c := randomSequential(rng)
+		c := bench.RandomSequential(rng)
 		type outcome struct {
-			verdict Verdict
+			verdict engine.Verdict
 			depth   int
 		}
 		var first *outcome
 		for _, st := range allStrategies() {
-			res, err := Run(c, 0, Options{MaxDepth: 6, Strategy: st, Solver: sat.Defaults()})
-			if err != nil {
-				t.Fatalf("iter %d %v: %v", iter, st, err)
+			for _, incremental := range []bool{false, true} {
+				opts := []engine.Option{engine.WithBudgets(6, 0), engine.WithOrdering(st)}
+				if incremental {
+					opts = append(opts, engine.WithIncremental())
+				}
+				res := run(t, c, opts...)
+				o := &outcome{res.Verdict, res.K}
+				if first == nil {
+					first = o
+				} else if *first != *o {
+					t.Fatalf("iter %d: %v (incremental=%v) disagrees: %+v vs %+v", iter, st, incremental, first, o)
+				}
 			}
-			o := &outcome{res.Verdict, res.Depth}
-			if first == nil {
-				first = o
-			} else if *first != *o {
-				t.Fatalf("iter %d: %v disagrees: %+v vs %+v", iter, st, first, o)
-			}
 		}
 	}
-}
-
-func randomSequential(rng *rand.Rand) *circuit.Circuit {
-	c := circuit.New("rand")
-	var pool []circuit.Signal
-	for i := 0; i < rng.Intn(3)+1; i++ {
-		pool = append(pool, c.Input("in"))
-	}
-	var latches []circuit.Signal
-	for i := 0; i < rng.Intn(4)+2; i++ {
-		l := c.Latch("l", rng.Intn(2) == 0)
-		latches = append(latches, l)
-		pool = append(pool, l)
-	}
-	for i := 0; i < rng.Intn(25)+10; i++ {
-		a := pool[rng.Intn(len(pool))]
-		b := pool[rng.Intn(len(pool))]
-		if rng.Intn(2) == 0 {
-			a = a.Not()
-		}
-		if rng.Intn(2) == 0 {
-			b = b.Not()
-		}
-		s := c.And(a, b)
-		if !s.IsConst() {
-			pool = append(pool, s)
-		}
-	}
-	for _, l := range latches {
-		c.SetNext(l, pool[rng.Intn(len(pool))])
-	}
-	// Bad = conjunction of a few pool signals, biased toward rare.
-	bad := c.And(pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))])
-	c.AddProperty("bad", bad)
-	return c
 }
 
 func TestTimeAxisGuidancePrefersEarlyFrames(t *testing.T) {
-	c := failingCounter(3, 5)
-	res, err := Run(c, 0, Options{MaxDepth: 8, Strategy: TimeAxis, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Falsified || res.Depth != 5 {
-		t.Errorf("timeaxis: verdict=%v depth=%d", res.Verdict, res.Depth)
+	res := run(t, failingCounter(3, 5), engine.WithBudgets(8, 0), engine.WithOrdering(core.OrderTimeAxis))
+	if res.Verdict != engine.Falsified || res.K != 5 {
+		t.Errorf("timeaxis: verdict=%v depth=%d", res.Verdict, res.K)
 	}
 }
 
 func TestScoreModesAllRun(t *testing.T) {
 	for _, m := range []core.ScoreMode{core.WeightedSum, core.UnweightedSum, core.LastCoreOnly, core.ExpDecay} {
-		c := passingCounter(3, 5, 7)
-		res, err := Run(c, 0, Options{MaxDepth: 8, Strategy: core.OrderStatic, ScoreMode: m, Solver: sat.Defaults()})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if res.Verdict != Holds {
+		res := run(t, passingCounter(3, 5, 7), engine.WithBudgets(8, 0),
+			engine.WithOrdering(core.OrderStatic), engine.WithScoreMode(m))
+		if res.Verdict != engine.Holds {
 			t.Errorf("%v: verdict=%v", m, res.Verdict)
 		}
 	}
@@ -239,29 +203,17 @@ func TestScoreModesAllRun(t *testing.T) {
 
 func TestSwitchDivisorPlumbing(t *testing.T) {
 	// With divisor 1 the dynamic switch threshold equals the literal count
-	// (rarely hit); with a huge distractor and tiny divisor... just check
-	// both run and agree.
-	c := failingCounter(4, 9)
+	// (rarely hit); every divisor must still reach the same verdict.
 	for _, div := range []int{1, 64, 100000} {
-		res, err := Run(c, 0, Options{
-			MaxDepth: 12, Strategy: core.OrderDynamic, SwitchDivisor: div,
-			Solver: sat.Defaults(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Verdict != Falsified || res.Depth != 9 {
-			t.Errorf("divisor %d: verdict=%v depth=%d", div, res.Verdict, res.Depth)
+		res := run(t, failingCounter(4, 9), engine.WithBudgets(12, 0), engine.WithSwitchDivisor(div))
+		if res.Verdict != engine.Falsified || res.K != 9 {
+			t.Errorf("divisor %d: verdict=%v depth=%d", div, res.Verdict, res.K)
 		}
 	}
 }
 
 func TestTotalsAccumulate(t *testing.T) {
-	c := failingCounter(3, 5)
-	res, err := Run(c, 0, Options{MaxDepth: 8, Strategy: core.OrderVSIDS, Solver: sat.Defaults()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, failingCounter(3, 5), engine.WithBudgets(8, 0), engine.WithOrdering(core.OrderVSIDS))
 	var dec int64
 	for _, d := range res.PerDepth {
 		dec += d.Stats.Decisions
@@ -275,8 +227,8 @@ func TestTotalsAccumulate(t *testing.T) {
 }
 
 func TestVerdictStrings(t *testing.T) {
-	if Holds.String() != "holds" || Falsified.String() != "falsified" ||
-		BudgetExhausted.String() != "budget-exhausted" || Verdict(9).String() != "?" {
+	if engine.Holds.String() != "holds" || engine.Falsified.String() != "falsified" ||
+		engine.Unknown.String() != "unknown" || engine.Verdict(9).String() != "unknown" {
 		t.Errorf("verdict strings wrong")
 	}
 }

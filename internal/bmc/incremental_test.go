@@ -1,12 +1,12 @@
 package bmc_test
 
 import (
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
-	"repro/internal/bmc"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/portfolio"
 	"repro/internal/sat"
 )
@@ -20,39 +20,31 @@ func mustParseSet(t *testing.T, s string) portfolio.StrategySet {
 	return set
 }
 
-// TestIncrementalAgreesWithScratchSuite is the acceptance criterion of the
-// incremental engine: on every internal/bench family, RunIncremental must
-// return the verdict and counter-example depth of the scratch Run. Failing
-// rows run to their full suite depth (the counter-example length must match
-// exactly); passing rows are depth-capped to keep the sweep fast.
+// TestIncrementalAgreesWithScratchSuite: on every internal/bench family
+// the live incremental solver must return the verdict and depth of the
+// scratch solver under the static ordering, whose guidance reaches the
+// two through different code (solver options vs SetGuidance on a live
+// solver). The dynamic ordering's full-depth sweep is
+// engine.TestSessionEquivalenceSuite; this one is depth-capped, the
+// adder rows hardest (scratch static takes seconds past depth 1 there).
 func TestIncrementalAgreesWithScratchSuite(t *testing.T) {
 	for _, m := range bench.Suite() {
-		depth := m.MaxDepth
-		if !m.ExpectFail && depth > 5 {
-			depth = 5
+		depth := min(m.MaxDepth, 3)
+		if strings.HasPrefix(m.Name, "add_") {
+			depth = 1
 		}
-		if testing.Short() && m.ExpectFail && depth > 10 {
-			depth = 10
+		if m.ExpectFail && m.FailDepth <= 8 {
+			depth = m.FailDepth
 		}
-		opts := bmc.Options{
-			MaxDepth: depth,
-			Strategy: core.OrderDynamic,
-			Solver:   sat.Defaults(),
-		}
-		sres, err := bmc.Run(m.Build(), 0, opts)
-		if err != nil {
-			t.Fatalf("%s scratch: %v", m.Name, err)
-		}
-		ires, err := bmc.RunIncremental(m.Build(), 0, opts)
-		if err != nil {
-			t.Fatalf("%s incremental: %v", m.Name, err)
-		}
-		if sres.Verdict != ires.Verdict || sres.Depth != ires.Depth {
+		opts := []engine.Option{engine.WithBudgets(depth, 0), engine.WithOrdering(core.OrderStatic)}
+		sres := run(t, m.Build(), opts...)
+		ires := run(t, m.Build(), append(opts, engine.WithIncremental())...)
+		if sres.Verdict != ires.Verdict || sres.K != ires.K {
 			t.Errorf("%s: incremental (%v, depth %d) disagrees with scratch (%v, depth %d)",
-				m.Name, ires.Verdict, ires.Depth, sres.Verdict, sres.Depth)
+				m.Name, ires.Verdict, ires.K, sres.Verdict, sres.K)
 		}
-		if m.ExpectFail && !testing.Short() && ires.Verdict == bmc.Falsified && ires.Depth != m.FailDepth {
-			t.Errorf("%s: counter-example at depth %d, ground truth %d", m.Name, ires.Depth, m.FailDepth)
+		if m.ExpectFail && depth == m.FailDepth && (ires.Verdict != engine.Falsified || ires.K != m.FailDepth) {
+			t.Errorf("%s: %v at depth %d, ground truth falsified at %d", m.Name, ires.Verdict, ires.K, m.FailDepth)
 		}
 	}
 }
@@ -63,51 +55,36 @@ func TestIncrementalAllStrategies(t *testing.T) {
 	models := []struct {
 		name    string
 		depth   int
-		verdict bmc.Verdict
+		verdict engine.Verdict
 		vDepth  int
 	}{
-		{"cnt_w4_t9", 12, bmc.Falsified, 9},
-		{"twin_w8", 6, bmc.Holds, 6},
+		{"cnt_w4_t9", 12, engine.Falsified, 9},
+		{"twin_w8", 6, engine.Holds, 6},
 	}
 	for _, tc := range models {
 		m, ok := bench.ByName(tc.name)
 		if !ok {
 			t.Fatalf("model %s missing", tc.name)
 		}
-		for _, st := range []core.Strategy{core.OrderVSIDS, core.OrderStatic, core.OrderDynamic, bmc.TimeAxis} {
-			res, err := bmc.RunIncremental(m.Build(), 0, bmc.Options{
-				MaxDepth: tc.depth,
-				Strategy: st,
-				Solver:   sat.Defaults(),
-			})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", tc.name, st, err)
-			}
-			if res.Verdict != tc.verdict || res.Depth != tc.vDepth {
+		for _, st := range allStrategies() {
+			res := run(t, m.Build(), engine.WithBudgets(tc.depth, 0), engine.WithOrdering(st), engine.WithIncremental())
+			if res.Verdict != tc.verdict || res.K != tc.vDepth {
 				t.Errorf("%s/%v: verdict=%v depth=%d, want %v at %d",
-					tc.name, st, res.Verdict, res.Depth, tc.verdict, tc.vDepth)
+					tc.name, st, res.Verdict, res.K, tc.verdict, tc.vDepth)
 			}
 		}
 	}
 }
 
 // TestIncrementalExtractsCores: the incremental CDG must yield a nonempty
-// core at every UNSAT depth under the core-consuming strategies, and the
-// trace of a falsifying run must replay (checked inside RunIncremental).
+// core at every UNSAT depth under the core-consuming strategies.
 func TestIncrementalExtractsCores(t *testing.T) {
 	m, ok := bench.ByName("twin_w8")
 	if !ok {
 		t.Fatal("model twin_w8 missing")
 	}
-	res, err := bmc.RunIncremental(m.Build(), 0, bmc.Options{
-		MaxDepth: 5,
-		Strategy: core.OrderStatic,
-		Solver:   sat.Defaults(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != bmc.Holds {
+	res := run(t, m.Build(), engine.WithBudgets(5, 0), engine.WithOrdering(core.OrderStatic), engine.WithIncremental())
+	if res.Verdict != engine.Holds {
 		t.Fatalf("verdict=%v", res.Verdict)
 	}
 	for _, d := range res.PerDepth {
@@ -128,14 +105,7 @@ func TestIncrementalPerDepthStatsAreDeltas(t *testing.T) {
 	if !ok {
 		t.Fatal("model mix_w5 missing")
 	}
-	res, err := bmc.RunIncremental(m.Build(), 0, bmc.Options{
-		MaxDepth: 4,
-		Strategy: core.OrderVSIDS,
-		Solver:   sat.Defaults(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, m.Build(), engine.WithBudgets(4, 0), engine.WithOrdering(core.OrderVSIDS), engine.WithIncremental())
 	var conf, dec int64
 	for _, d := range res.PerDepth {
 		conf += d.Stats.Conflicts
@@ -152,17 +122,9 @@ func TestIncrementalBudgetExhausted(t *testing.T) {
 	if !ok {
 		t.Fatal("model mix_w8 missing")
 	}
-	res, err := bmc.RunIncremental(m.Build(), 0, bmc.Options{
-		MaxDepth:             8,
-		Strategy:             core.OrderVSIDS,
-		Solver:               sat.Defaults(),
-		PerInstanceConflicts: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != bmc.BudgetExhausted {
-		t.Errorf("verdict=%v, want budget-exhausted", res.Verdict)
+	res := run(t, m.Build(), engine.WithBudgets(8, 1), engine.WithOrdering(core.OrderVSIDS), engine.WithIncremental())
+	if res.Verdict != engine.Unknown {
+		t.Errorf("verdict=%v, want unknown (budget exhausted)", res.Verdict)
 	}
 }
 
@@ -171,47 +133,28 @@ func TestIncrementalDeadlineInPast(t *testing.T) {
 	if !ok {
 		t.Fatal("model twin_w8 missing")
 	}
-	res, err := bmc.RunIncremental(m.Build(), 0, bmc.Options{
-		MaxDepth: 10,
-		Strategy: core.OrderVSIDS,
-		Solver:   sat.Defaults(),
-		Deadline: time.Now().Add(-time.Second),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != bmc.BudgetExhausted || res.Depth != 0 {
-		t.Errorf("verdict=%v depth=%d, want budget-exhausted at 0", res.Verdict, res.Depth)
+	res := runCtx(t, expired(t), m.Build(), engine.WithBudgets(10, 0), engine.WithOrdering(core.OrderVSIDS), engine.WithIncremental())
+	if res.Verdict != engine.Unknown || res.K != 0 {
+		t.Errorf("verdict=%v depth=%d, want unknown at 0", res.Verdict, res.K)
 	}
 }
 
 // TestPortfolioClearsCallerRecorder is the regression test for the shared-
-// recorder data race: a caller-supplied Recorder on a vsids/timeaxis-only
-// strategy set used to be shared verbatim by all racing goroutines (a data
-// race on core.Recorder's slices, visible under -race and as out-of-order
-// clause-ID panics). RunPortfolio must clear it like Run does.
+// recorder data race: a caller-supplied Recorder in the base solver
+// options, on a vsids/timeaxis-only strategy set, used to be shared
+// verbatim by all racing goroutines (a data race on core.Recorder's
+// slices, visible under -race and as out-of-order clause-ID panics). The
+// session must clear it for every racer.
 func TestPortfolioClearsCallerRecorder(t *testing.T) {
 	m, ok := bench.ByName("cnt_w4_t9")
 	if !ok {
 		t.Fatal("model cnt_w4_t9 missing")
 	}
-	set := mustParseSet(t, "vsids,timeaxis")
-	opts := bmc.PortfolioOptions{
-		Options: bmc.Options{
-			MaxDepth: 9,
-			Solver:   sat.Defaults(),
-		},
-		Strategies: set,
-		Jobs:       2,
-	}
-	// The dangerous input: a recorder in the base solver options while no
-	// strategy in the set consumes cores.
-	opts.Solver.Recorder = core.NewRecorder(0)
-	res, err := bmc.RunPortfolio(m.Build(), 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != bmc.Falsified || res.Depth != 9 {
-		t.Errorf("verdict=%v depth=%d, want falsified at 9", res.Verdict, res.Depth)
+	so := sat.Defaults()
+	so.Recorder = core.NewRecorder(0)
+	res := run(t, m.Build(), engine.WithBudgets(9, 0), engine.WithSolver(so),
+		engine.WithPortfolio(mustParseSet(t, "vsids,timeaxis"), 2))
+	if res.Verdict != engine.Falsified || res.K != 9 {
+		t.Errorf("verdict=%v depth=%d, want falsified at 9", res.Verdict, res.K)
 	}
 }

@@ -146,13 +146,13 @@ func TestStrategyConfigure(t *testing.T) {
 	b.Update([]lits.Var{2}, 4)
 
 	var opts sat.Options
-	OrderVSIDS.Configure(&opts, b, f)
+	OrderVSIDS.ConfigureWithDivisor(&opts, b, f, SwitchDivisor)
 	if opts.Guidance != nil || opts.SwitchAfterDecisions != 0 {
 		t.Errorf("vsids must not set guidance")
 	}
 
 	opts = sat.Options{}
-	OrderStatic.Configure(&opts, b, f)
+	OrderStatic.ConfigureWithDivisor(&opts, b, f, SwitchDivisor)
 	if opts.Guidance == nil || opts.Guidance[2] != 4 {
 		t.Errorf("static guidance wrong: %v", opts.Guidance)
 	}
@@ -161,7 +161,7 @@ func TestStrategyConfigure(t *testing.T) {
 	}
 
 	opts = sat.Options{}
-	OrderDynamic.Configure(&opts, b, f)
+	OrderDynamic.ConfigureWithDivisor(&opts, b, f, SwitchDivisor)
 	if opts.Guidance == nil {
 		t.Errorf("dynamic guidance missing")
 	}

@@ -27,9 +27,10 @@ const (
 // OrderTimeAxis is the Shtrichman-style frame ordering (earliest frames
 // first), the related-work comparator discussed in the paper's
 // introduction. Its guidance scores depend on the unrolling, so it is
-// configured by internal/bmc rather than by Configure; the value lives at
-// an offset so Strategy stays a single field across packages (and so the
-// portfolio engine can list it in a StrategySet).
+// configured by the engine and the warm pools rather than by
+// ConfigureWithDivisor; the value lives at an offset so Strategy stays a
+// single field across packages (and so the portfolio engine can list it
+// in a StrategySet).
 const OrderTimeAxis Strategy = 100
 
 // String implements fmt.Stringer.
@@ -69,16 +70,11 @@ func ParseStrategy(s string) (Strategy, bool) {
 // SwitchDivisor decisions (paper §3.3 uses 64).
 const SwitchDivisor = 64
 
-// Configure applies the strategy to solver options for formula f, using
-// the scores accumulated in board. For OrderVSIDS it leaves opts untouched.
-// The divisor parameter of the dynamic threshold is SwitchDivisor; use
-// ConfigureWithDivisor to ablate it.
-func (s Strategy) Configure(opts *sat.Options, board *ScoreBoard, f *cnf.Formula) {
-	s.ConfigureWithDivisor(opts, board, f, SwitchDivisor)
-}
-
-// ConfigureWithDivisor is Configure with an explicit switch divisor
-// (dynamic strategy only; divisor <= 0 disables the switch).
+// ConfigureWithDivisor applies the strategy to solver options for
+// formula f, using the scores accumulated in board. For OrderVSIDS and
+// OrderTimeAxis it leaves opts untouched. divisor is the dynamic
+// strategy's switch divisor (the paper's is SwitchDivisor; <= 0
+// disables the switch).
 func (s Strategy) ConfigureWithDivisor(opts *sat.Options, board *ScoreBoard, f *cnf.Formula, divisor int) {
 	switch s {
 	case OrderVSIDS, OrderTimeAxis:

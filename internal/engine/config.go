@@ -75,12 +75,11 @@ type Config struct {
 	StepExchange racer.ExchangeOptions
 	// StepExchangeSet mirrors ExchangeSet for StepExchange.
 	StepExchangeSet bool
-	// ScoreMode selects the bmc_score accumulation rule (BMC engine; the
-	// k-induction boards always use core.WeightedSum, as the legacy
-	// entrypoints did).
+	// ScoreMode selects the bmc_score accumulation rule of every score
+	// board (k-induction keeps one per query).
 	ScoreMode core.ScoreMode
 	// SwitchDivisor overrides the dynamic strategy's switch threshold
-	// divisor (0 selects core.SwitchDivisor; BMC engine only).
+	// divisor (0 selects core.SwitchDivisor).
 	SwitchDivisor int
 	// Solver carries the base solver options; per-strategy fields
 	// (Guidance, SwitchAfterDecisions, Recorder, Stop) are managed by the
@@ -217,8 +216,8 @@ func NewConfig(opts ...Option) Config {
 }
 
 // Validate vets the configuration matrix in one place — every
-// combination the legacy entrypoints (and cmd/bmc's flag parsing) used
-// to reject ad hoc errors out here with a message naming the offending
+// combination the engine cannot run (cmd/bmc's flag parsing included)
+// errors out here with a message naming the offending
 // knob. A nil error means Check can run the configuration.
 func (c *Config) Validate() error {
 	if c.Kind != BMC && c.Kind != KInduction {

@@ -8,16 +8,21 @@
 //	        engine.WithExchange(racer.ExchangeOptions{Enabled: true}))
 //	res, err := sess.Check(ctx)
 //
-// subsumes the seven legacy entrypoints (bmc.Run, bmc.RunIncremental,
-// bmc.RunPortfolio, bmc.RunPortfolioIncremental, induction.Prove,
-// induction.ProvePortfolio, induction.ProvePortfolioIncremental), which
-// remain as thin deprecated wrappers. The engine×ordering×incremental×
-// sharing matrix is validated in one place (Config.Validate), results
-// come back as one Result (verdict, depth, trace, per-depth stats,
-// portfolio telemetry, warm/exchange attribution), cancellation and
-// deadlines are carried by the context.Context passed to Check and
-// plumbed down to every solver through sat.Options.Stop/Deadline, and
-// per-depth progress streams through WithProgress.
+// runs every engine shape: BMC or k-induction, one ordering or a
+// portfolio, from scratch or incrementally, with or without the clause
+// bus. The engine×ordering×incremental×sharing matrix is validated in
+// one place (Config.Validate), results come back as one Result (verdict,
+// depth, trace, per-depth stats, portfolio telemetry, warm/exchange
+// attribution), cancellation and deadlines are carried by the
+// context.Context passed to Check and plumbed down to every solver
+// through sat.Options.Stop/Deadline, and per-depth progress streams
+// through WithProgress.
+//
+// Every shape runs on one depth driver (driver.go): per depth it solves
+// the session's queries — the BMC sequence, or the k-induction base and
+// step sequences — and applies one verdict tail. A query decides its
+// depths through one of four solvers (query.go): a scratch solver, a
+// live incremental solver, a cold race, or a warm racer pool.
 //
 // Behind the session sits the Executor seam: every race — cold or warm —
 // is submitted through the Executor interface, and every clause-bus
@@ -243,28 +248,7 @@ func (s *Session) Check(ctx context.Context) (*Result, error) {
 	}
 	root := s.cfg.Tracer.Begin("engine", "check")
 	root.SetArg("engine", s.cfg.Kind.String())
-	var res *Result
-	if s.cfg.Kind == KInduction {
-		switch {
-		case s.cfg.Incremental:
-			res, err = s.runKindWarm(ctx, u)
-		case s.cfg.Portfolio:
-			res, err = s.runKindPortfolio(ctx, u)
-		default:
-			res, err = s.runKindSequential(ctx, u)
-		}
-	} else {
-		switch {
-		case s.cfg.Portfolio && s.cfg.Incremental:
-			res, err = s.runBMCWarm(ctx, u)
-		case s.cfg.Portfolio:
-			res, err = s.runBMCPortfolio(ctx, u)
-		case s.cfg.Incremental:
-			res, err = s.runBMCIncremental(ctx, u)
-		default:
-			res, err = s.runBMCScratch(ctx, u)
-		}
-	}
+	res, err := s.drive(ctx, u)
 	if err != nil {
 		root.SetArg("error", err.Error())
 		root.End()
@@ -288,17 +272,6 @@ func (s *Session) Check(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// DeadlineContext translates a legacy deadline field (zero = none) into
-// the context Check understands — the shared shim of the deprecated
-// bmc/induction wrappers, whose Options carry a time.Time instead of a
-// context. Callers must call cancel once the check returns.
-func DeadlineContext(deadline time.Time) (context.Context, context.CancelFunc) {
-	if deadline.IsZero() {
-		return context.Background(), func() {}
-	}
-	return context.WithDeadline(context.Background(), deadline)
-}
-
 // executor resolves the configured executor (default LocalExecutor).
 func (s *Session) executor() Executor {
 	if s.cfg.Executor != nil {
@@ -314,7 +287,7 @@ func (s *Session) emit(e Event) {
 	}
 }
 
-// solverBase derives the per-call solver options every loop starts from:
+// solverBase derives the options every scratch and live solver starts from:
 // the config's base options with the session-managed fields cleared, the
 // per-instance conflict budget applied, and the context's deadline and
 // Done channel plumbed into sat.Options.Deadline/Stop — the single place

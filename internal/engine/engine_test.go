@@ -6,16 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/bmc"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
-	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/induction"
 	"repro/internal/lits"
 	"repro/internal/portfolio"
 	"repro/internal/racer"
-	"repro/internal/sat"
 )
 
 // checkModel runs one session on a suite model and fails the test on a
@@ -37,8 +33,7 @@ func checkModel(t *testing.T, m bench.Model, opts ...engine.Option) *engine.Resu
 // every internal/bench family, all four BMC session configurations
 // (scratch, incremental, cold portfolio, warm portfolio) return the
 // identical verdict, depth, and counter-example trace through the one
-// session API — and they match the legacy bmc.Run wrapper, i.e. the
-// pre-redesign path's pinned behavior.
+// session API.
 func TestSessionEquivalenceSuite(t *testing.T) {
 	for _, m := range bench.Suite() {
 		depth := m.MaxDepth
@@ -50,17 +45,6 @@ func TestSessionEquivalenceSuite(t *testing.T) {
 		}
 		base := []engine.Option{engine.WithBudgets(depth, 0)}
 		ref := checkModel(t, m, base...)
-
-		legacy, err := bmc.Run(m.Build(), 0, bmc.Options{
-			MaxDepth: depth, Strategy: core.OrderDynamic, Solver: sat.Defaults(),
-		})
-		if err != nil {
-			t.Fatalf("%s legacy: %v", m.Name, err)
-		}
-		if legacy.Verdict.String() != ref.Verdict.String() || legacy.Depth != ref.K {
-			t.Errorf("%s: session (%v@%d) disagrees with legacy Run (%v@%d)",
-				m.Name, ref.Verdict, ref.K, legacy.Verdict, legacy.Depth)
-		}
 
 		configs := []struct {
 			name string
@@ -93,8 +77,7 @@ func TestSessionEquivalenceSuite(t *testing.T) {
 // configuration must agree on the verdict — and, when the run decides,
 // on its depth. The depth at which an Unknown budget bites is engine
 // state-dependent (a warm solver's carried clauses change per-depth
-// effort), so only decided outcomes pin K, exactly as the legacy suites
-// did.
+// effort), so only decided outcomes pin K.
 func TestSessionTightBudgetEquivalence(t *testing.T) {
 	for _, name := range []string{"add_w8", "cnt_w4_t9", "twin_w8"} {
 		m, ok := bench.ByName(name)
@@ -124,8 +107,7 @@ func TestSessionTightBudgetEquivalence(t *testing.T) {
 }
 
 // TestKindSessionEquivalence: the three k-induction configurations agree
-// on status and K across the proved / deeper-k / falsified regimes, and
-// match the legacy induction.Prove wrapper.
+// on status and K across the proved / deeper-k / falsified regimes.
 func TestKindSessionEquivalence(t *testing.T) {
 	models := []struct {
 		name  string
@@ -139,17 +121,6 @@ func TestKindSessionEquivalence(t *testing.T) {
 	for _, tc := range models {
 		kind := []engine.Option{engine.WithEngine(engine.KInduction), engine.WithBudgets(tc.maxK, 0)}
 		ref := checkModel(t, tc.build, kind...)
-
-		legacy, err := induction.Prove(tc.build.Build(), 0, induction.Options{
-			MaxK: tc.maxK, Strategy: core.OrderDynamic, Solver: sat.Defaults(),
-		})
-		if err != nil {
-			t.Fatalf("%s legacy: %v", tc.name, err)
-		}
-		if legacy.Status.String() != ref.Verdict.String() || legacy.K != ref.K {
-			t.Errorf("%s: session (%v@%d) disagrees with legacy Prove (%v@%d)",
-				tc.name, ref.Verdict, ref.K, legacy.Status, legacy.K)
-		}
 
 		for _, cfg := range []struct {
 			name string

@@ -136,7 +136,7 @@ func TestRaceEmptyAttempts(t *testing.T) {
 }
 
 // TestRaceSharedScoreBoard hammers one mutex-guarded core.ScoreBoard from
-// concurrent races the way bmc.RunPortfolio does across depths — guidance
+// concurrent races the way the engine's cold portfolio does across depths — guidance
 // snapshots are read while winner cores are folded in. Run under -race.
 func TestRaceSharedScoreBoard(t *testing.T) {
 	board := core.NewScoreBoard(core.WeightedSum)

@@ -4,7 +4,7 @@
 // exchange bus that redistributes their best learned clauses between
 // depths.
 //
-// The cold portfolio (portfolio.Race driven by bmc.RunPortfolio) builds
+// The cold portfolio (portfolio.Race driven by the engine) builds
 // one solver per strategy per depth: when the race is decided, every
 // cancelled loser's learned clauses — reported as WastedConflicts — and
 // even the winner's warm VSIDS and phase state are thrown away. The pool
@@ -61,9 +61,7 @@ type RaceFunc func(query string, attempts []portfolio.LiveAttempt, assumps []lit
 
 // Config configures a warm racer pool. The zero value is not usable on
 // its own — Strategies and the base Solver options come from the caller
-// (engine.Session translates its configuration; the legacy
-// bmc.RunPortfolioIncremental and induction.ProvePortfolioIncremental
-// wrappers go through engine).
+// (engine.Session translates its configuration).
 type Config struct {
 	// Strategies is the raced set, one persistent solver each (default:
 	// the full four-way portfolio.DefaultSet).
@@ -160,7 +158,7 @@ type Pool struct {
 // NewPool builds one persistent solver per strategy over an empty clause
 // set; frames arrive depth by depth through RaceDepth, pulled from the
 // given query sequence (DeltaSource for BMC / induction base cases,
-// StepSource for induction step cases). Mirroring RunPortfolio, recorders
+// StepSource for induction step cases). Like the cold portfolio, recorders
 // are attached to every racer as soon as any strategy in the set consumes
 // cores, so whichever racer wins an UNSAT depth has a core to contribute
 // to the board.
